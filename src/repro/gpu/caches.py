@@ -14,23 +14,24 @@ from repro.gpu.config import CacheConfig
 
 
 class Cache:
-    """Set-associative LRU cache over 64-bit byte addresses.
+    """Set-associative LRU cache over non-negative byte addresses.
 
-    The implementation keeps per-set tag arrays and an LRU counter; it
-    is deliberately simple (one access at a time) because the hot path
-    batches accesses with :meth:`access_many`, which deduplicates
-    consecutive same-line accesses first.
+    Each set is a Python list of resident line numbers in recency
+    order, most recently used last: a hit moves the line to the end, a
+    miss appends it and, when the set already holds ``ways`` lines,
+    evicts the first (least recently used) one.  A set fills its empty
+    ways before it evicts anything.  The hot path is
+    :meth:`access_many`, which collapses consecutive same-line
+    accesses (always hits that leave the recency order unchanged) and
+    walks the remaining line stream in one loop.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self._sets = config.num_sets
+        self._line_bytes = config.line_bytes
+        self._num_sets = config.num_sets
         self._ways = config.ways
-        # tags[set][way]; -1 = invalid
-        self._tags = np.full((self._sets, self._ways), -1, dtype=np.int64)
-        # Higher stamp = more recently used.
-        self._stamps = np.zeros((self._sets, self._ways), dtype=np.int64)
-        self._clock = 0
+        self._sets: list[list[int]] = [[] for _ in range(self._num_sets)]
         self.accesses = 0
         self.misses = 0
 
@@ -40,9 +41,8 @@ class Cache:
 
     def flush(self) -> None:
         """Invalidate all lines (between frames, if desired)."""
-        self._tags.fill(-1)
-        self._stamps.fill(0)
-        self._clock = 0
+        for lines in self._sets:
+            lines.clear()
 
     @property
     def hits(self) -> int:
@@ -54,61 +54,70 @@ class Cache:
             return 0.0
         return self.misses / self.accesses
 
-    def _line_of(self, address: int) -> int:
-        return address // self.config.line_bytes
-
     def access(self, address: int) -> bool:
         """Touch one byte address; returns True on hit."""
-        return self.access_line(self._line_of(address))
+        return self.access_line(address // self._line_bytes)
 
     def access_line(self, line: int) -> bool:
         """Touch one line number; returns True on hit."""
-        self.accesses += 1
-        self._clock += 1
-        set_idx = line % self._sets
-        tags = self._tags[set_idx]
-        hit_ways = np.nonzero(tags == line)[0]
-        if hit_ways.size:
-            self._stamps[set_idx, hit_ways[0]] = self._clock
-            return True
-        self.misses += 1
-        victim = int(self._stamps[set_idx].argmin())
-        self._tags[set_idx, victim] = line
-        self._stamps[set_idx, victim] = self._clock
-        return False
+        return not self._walk((line,))
 
     def access_range(self, address: int, length: int) -> int:
         """Touch every line of ``[address, address+length)``; returns misses."""
         if length <= 0:
             return 0
-        first = self._line_of(address)
-        last = self._line_of(address + length - 1)
-        before = self.misses
-        for line in range(first, last + 1):
-            self.access_line(line)
-        return self.misses - before
+        first = address // self._line_bytes
+        last = (address + length - 1) // self._line_bytes
+        return len(self._walk(range(first, last + 1)))
 
-    def access_many(self, addresses: np.ndarray) -> int:
+    def access_many(
+        self, addresses: np.ndarray, offsets: np.ndarray | None = None
+    ) -> int | np.ndarray:
         """Touch a sequence of byte addresses in order; returns misses.
 
-        Consecutive accesses to the same line are collapsed to one
-        (they would all hit anyway), which keeps the Python loop short
-        for streaming patterns.
+        With ``offsets`` (CSR boundaries ``offsets[k]:offsets[k+1]`` of
+        consecutive segments of ``addresses``), returns the ``(k,)``
+        int64 array of misses per segment instead of the total, so one
+        pass over a long stream can still be charged piecewise.
         """
         addrs = np.asarray(addresses, dtype=np.int64)
-        if addrs.size == 0:
-            return 0
-        lines = addrs // self.config.line_bytes
-        keep = np.ones(lines.size, dtype=bool)
+        lines = addrs // self._line_bytes
+        # Consecutive accesses to the same line are all hits that leave
+        # the recency order as it is: only the first of a run is walked.
+        keep = np.ones(lines.shape[0], dtype=bool)
         keep[1:] = lines[1:] != lines[:-1]
-        collapsed = lines[keep]
-        repeats = np.diff(np.append(np.nonzero(keep)[0], lines.size))
-        before_miss = self.misses
-        before_acc = self.accesses
-        for line in collapsed:
-            self.access_line(int(line))
+        walked = np.flatnonzero(keep)
+        missed = self._walk(lines[walked].tolist())
         # The collapsed duplicates still count as (hit) accesses.
-        extra = int(lines.size - collapsed.size)
-        self.accesses += extra
-        del before_acc, repeats
-        return self.misses - before_miss
+        self.accesses += lines.shape[0] - walked.shape[0]
+        if offsets is None:
+            return len(missed)
+        miss_positions = walked[np.asarray(missed, dtype=np.int64)]
+        per_segment = np.bincount(
+            np.searchsorted(offsets, miss_positions, side="right") - 1,
+            minlength=len(offsets) - 1,
+        )
+        return per_segment.astype(np.int64, copy=False)
+
+    def _walk(self, lines) -> list[int]:
+        """Touch each line in order; returns the stream positions that missed."""
+        sets = self._sets
+        num_sets = self._num_sets
+        ways = self._ways
+        missed: list[int] = []
+        position = 0
+        for line in lines:
+            resident = sets[line % num_sets]
+            if line in resident:
+                if resident[-1] != line:
+                    resident.remove(line)
+                    resident.append(line)
+            else:
+                missed.append(position)
+                if len(resident) == ways:
+                    del resident[0]
+                resident.append(line)
+            position += 1
+        self.accesses += position
+        self.misses += len(missed)
+        return missed

@@ -61,7 +61,8 @@ class KernelBackend:
         ``(T, 3)`` float64 vertex depths.  Returns ``(px, py, pz,
         tri)``: integer pixel coordinates, interpolated depths, and the
         producing triangle index, in canonical order (triangle
-        ascending, row-major within each triangle's bounding box).
+        ascending, row-major within each triangle).  A non-finite
+        vertex coordinate raises ``ValueError``.
     ``earlyz_pass_mask(pixel, z)``
         ``pixel`` is ``(N,) int64`` flat pixel indices and ``z`` the
         matching depths, both in arrival order.  Returns the ``(N,)``

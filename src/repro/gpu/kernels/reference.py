@@ -25,8 +25,11 @@ def rasterize_triangle(xy: np.ndarray, z: np.ndarray, width: int, height: int):
     Returns ``(px, py, pz)`` integer pixel coords and depths, or
     ``None`` when the triangle covers no pixel centre.  Boundary pixels
     follow the D3D/GL top-left fill rule so shared edges never double-
-    generate fragments.
+    generate fragments.  A non-finite vertex coordinate raises
+    ``ValueError``.
     """
+    if not np.isfinite(xy).all():
+        raise ValueError("rasterize_triangle: non-finite screen-space vertex")
     e1 = xy[1] - xy[0]
     e2 = xy[2] - xy[0]
     area2 = e1[0] * e2[1] - e1[1] * e2[0]

@@ -4,10 +4,14 @@ Bit-identical to the reference backend by construction, not by luck:
 
 * The batched rasterizer evaluates the *same* IEEE-754 expressions as
   the per-triangle scalar loop — same subtractions, same products, same
-  divisions, elementwise — over a flat array of bounding-box candidate
-  pixels, then compresses with a boolean mask.  Candidates are laid out
-  triangle-ascending, row-major per triangle, which is exactly the
-  reference emission order, so equal values arrive in equal order.
+  divisions, elementwise — over a flat array of candidate pixels, then
+  compresses with a boolean mask.  The candidates are, per triangle and
+  bounding-box row, a conservative x-span derived from the edge
+  equations and widened by one pixel on each side, so every pixel the
+  edge tests accept is tested while most of the box is never touched.
+  Candidates are laid out triangle-ascending, row-major per triangle,
+  which is exactly the reference emission order, so equal values arrive
+  in equal order.
 * Early-Z replaces the sequential per-fragment scan with a segmented
   exclusive prefix-min over the pixel-sorted stream; comparisons are
   the same exact float LESS, each fragment is visited once.
@@ -15,8 +19,10 @@ Bit-identical to the reference backend by construction, not by luck:
   lock-step builders (:func:`repro.rbcd.zeb.build_zeb_tile`,
   :func:`repro.rbcd.overlap.analyze_tile`).
 
-Triangle batches are processed in bounded chunks (~1M candidate pixels)
-so peak memory stays flat on large frames.
+Triangle batches are processed in bounded chunks of span candidates
+(:data:`_MAX_CANDIDATES`), so peak memory stays flat on large frames and
+the per-candidate arrays stay cache-sized.  A non-finite vertex
+coordinate raises ``ValueError``, as in the reference backend.
 """
 
 from __future__ import annotations
@@ -27,8 +33,14 @@ from repro.gpu.kernels import KernelBackend
 from repro.rbcd.overlap import analyze_tile
 from repro.rbcd.zeb import build_zeb_tile
 
-# Upper bound on bounding-box candidate pixels materialized per chunk.
-_MAX_CANDIDATES = 1 << 20
+# Upper bound on span candidate pixels materialized per chunk.
+_MAX_CANDIDATES = 1 << 16
+
+# Triangles with a vertex coordinate beyond this magnitude keep their
+# whole bounding-box rows as candidates: below it, the rounding in the
+# edge tests moves a span boundary by far less than its one-pixel
+# margin, whatever the slope (see :func:`_edge_rows`).
+_SPAN_COORD_LIMIT = 2.0 ** 40
 
 _EMPTY = (
     np.empty(0, dtype=np.int32),
@@ -38,53 +50,92 @@ _EMPTY = (
 )
 
 
-def _raster_chunk(xy, z, tri_sel, counts, x0, y0, bw, area2, sign):
-    """Rasterize one chunk of triangles over flat candidate arrays."""
-    tri_of = np.repeat(tri_sel, counts)
-    starts = np.cumsum(counts) - counts
-    rank = np.arange(tri_of.shape[0], dtype=np.int64) - np.repeat(starts, counts)
-    w = bw[tri_of]
-    cx = x0[tri_of] + rank % w
-    cy = y0[tri_of] + rank // w
-    gx = cx.astype(np.float64) + 0.5
-    gy = cy.astype(np.float64) + 0.5
+def _edge_rows(xy, sign, row_tri, row_y, lo, hi, width):
+    """Per-row edge terms, and each (triangle, row) span narrowed to them.
 
-    vx = xy[:, :, 0]
-    vy = xy[:, :, 1]
-    s = sign[tri_of]
-    inside = np.ones(tri_of.shape[0], dtype=bool)
-    f_values = []
+    For edge ``i`` on the row through pixel centres ``gy``, the inside
+    test compares ``P = dx * (gy - ay)`` with ``Q = dy * (gx - ax)``.
+    ``P`` is fixed on the row and rounding keeps ``Q`` monotone in
+    ``gx``, so the pixels passing the edge form a half-line whose end
+    lies within rounding of ``x* = ax + P / dy``: an upper end when
+    ``sign * dy > 0``, a lower one when it is negative.  The end moves
+    ``lo``/``hi`` to the nearest pixel centre widened by one pixel, so
+    every pixel the edge test accepts stays a candidate.  An edge with
+    ``dy == 0`` is constant along the row and narrows nothing.
+
+    The terms come back orientation-normalized, ``sign * P`` and
+    ``sign * dy``: negation is exact and round-to-nearest is symmetric,
+    so ``sign * P - (sign * dy) * (gx - ax)`` is bit for bit the
+    ``sign * F`` of the scalar loop.  ``top_left`` marks the rows whose
+    edge admits ``sign * F == 0`` under the top-left rule.
+    """
+    gy = row_y.astype(np.float64) + 0.5
+    tame = (np.abs(xy) <= _SPAN_COORD_LIMIT).all(axis=(1, 2))
+    edges = []
     for i in range(3):
         j = (i + 1) % 3
-        # Per-triangle edge setup, then gathered per candidate — the
-        # same subtractions the scalar loop performs once per triangle.
-        dx_t = vx[:, j] - vx[:, i]
-        dy_t = vy[:, j] - vy[:, i]
-        dxn = sign * dx_t
-        dyn = sign * dy_t
-        top_left_t = ((dyn == 0.0) & (dxn > 0.0)) | (dyn < 0.0)
+        # Per-triangle edge setup, then taken per row — the same
+        # subtractions the scalar loop performs once per triangle.
+        ax_t = xy[:, i, 0]
+        ay_t = xy[:, i, 1]
+        dx_t = xy[:, j, 0] - ax_t
+        dy_t = xy[:, j, 1] - ay_t
+        sdy_t = sign * dy_t
+        # Top-left rule (y-down) on the orientation-normalized edge.
+        top_left = ((sdy_t == 0.0) & (sign * dx_t > 0.0)) | (sdy_t < 0.0)
+        narrows_t = tame & (dy_t != 0.0)
 
-        ax = vx[tri_of, i]
-        ay = vy[tri_of, i]
-        f = dx_t[tri_of] * (gy - ay) - dy_t[tri_of] * (gx - ax)
-        f_signed = s * f
-        on_edge_ok = np.where(top_left_t[tri_of], f_signed >= 0.0, f_signed > 0.0)
-        inside &= on_edge_ok
-        f_values.append(f)
+        ax = ax_t.take(row_tri)
+        p = dx_t.take(row_tri) * (gy - ay_t.take(row_tri))
+        edges.append((
+            sign.take(row_tri) * p, sdy_t.take(row_tri), ax,
+            top_left.take(row_tri),
+        ))
+
+        with np.errstate(over="ignore"):
+            x_star = ax + p / np.where(narrows_t, dy_t, 1.0).take(row_tri)
+        # Clip in float before the integer casts: x* may be huge.
+        c = np.clip(x_star - 0.5, -2.0, width + 2.0)
+        upper = (narrows_t & (sdy_t > 0.0)).take(row_tri)
+        lower = (narrows_t & (sdy_t < 0.0)).take(row_tri)
+        hi = np.where(upper, np.minimum(hi, np.floor(c).astype(np.int64) + 1), hi)
+        lo = np.where(lower, np.maximum(lo, np.ceil(c).astype(np.int64) - 1), lo)
+    return lo, hi, edges
+
+
+def _raster_chunk(z, r0, r1, counts, row_tri, row_y, lo, edges, abs_area2):
+    """Rasterize the span candidates of rows ``r0:r1``."""
+    local = np.repeat(np.arange(r1 - r0), counts)
+    rep = local + r0
+    starts = np.cumsum(counts) - counts
+    cx = np.arange(rep.shape[0], dtype=np.int64) - (starts - lo[r0:r1]).take(local)
+    gx = cx.astype(np.float64) + 0.5
+
+    inside = None
+    fs_values = []
+    for sp, sdy, ax, top_left in edges:
+        # The same IEEE operations as the scalar loop, on this row's
+        # terms taken across its span.
+        fs = sp.take(rep) - sdy.take(rep) * (gx - ax.take(rep))
+        ok = np.where(top_left.take(rep), fs >= 0.0, fs > 0.0)
+        inside = ok if inside is None else inside & ok
+        fs_values.append(fs)
 
     keep = np.flatnonzero(inside)
     if keep.shape[0] == 0:
         return None
-    kt = tri_of[keep]
-    a2 = area2[kt]
-    # Barycentric weights: F_i / area2 is the weight of vertex i+2.
-    w2 = f_values[0][keep] / a2
-    w0 = f_values[1][keep] / a2
-    w1 = f_values[2][keep] / a2
-    pz = w0 * z[kt, 0] + w1 * z[kt, 1] + w2 * z[kt, 2]
+    rep = rep.take(keep)
+    kt = row_tri.take(rep)
+    a2 = abs_area2.take(kt)
+    # Barycentric weights: F_i / area2 is the weight of vertex i+2, and
+    # (sign * F_i) / |area2| is the same quotient bit for bit.
+    w2 = fs_values[0].take(keep) / a2
+    w0 = fs_values[1].take(keep) / a2
+    w1 = fs_values[2].take(keep) / a2
+    pz = w0 * z[:, 0].take(kt) + w1 * z[:, 1].take(kt) + w2 * z[:, 2].take(kt)
     return (
-        cx[keep].astype(np.int32),
-        cy[keep].astype(np.int32),
+        cx.take(keep).astype(np.int32),
+        row_y.take(rep).astype(np.int32),
         pz,
         kt,
     )
@@ -93,7 +144,9 @@ def _raster_chunk(xy, z, tri_sel, counts, x0, y0, bw, area2, sign):
 def rasterize_triangles(
     xy: np.ndarray, z: np.ndarray, width: int, height: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Scan-convert a whole triangle batch with flat candidate arrays."""
+    """Scan-convert a whole triangle batch over per-row candidate spans."""
+    if not np.isfinite(xy).all():
+        raise ValueError("rasterize_triangles: non-finite screen-space vertex")
     num_tris = xy.shape[0]
     if num_tris == 0:
         return _EMPTY
@@ -109,24 +162,43 @@ def rasterize_triangles(
     x1 = np.minimum(np.ceil(vx.max(axis=1)), float(width - 1)).astype(np.int64)
     y0 = np.maximum(np.floor(vy.min(axis=1)), 0.0).astype(np.int64)
     y1 = np.minimum(np.ceil(vy.max(axis=1)), float(height - 1)).astype(np.int64)
-    bw = x1 - x0 + 1
     bh = y1 - y0 + 1
-    live = (area2 != 0.0) & (bw > 0) & (bh > 0)
-    counts = np.where(live, bw * bh, 0)
-    if not counts.any():
+    live = np.flatnonzero((area2 != 0.0) & (x1 >= x0) & (bh > 0))
+    if live.shape[0] == 0:
         return _EMPTY
 
-    cum = np.cumsum(counts)
+    # One row per (live triangle, bounding-box row): triangle-ascending,
+    # then top to bottom, which with left-to-right spans is the
+    # reference emission order.
+    rows_per_tri = bh[live]
+    row_tri = np.repeat(live, rows_per_tri)
+    tri_first_row = np.cumsum(rows_per_tri) - rows_per_tri
+    row_y = y0[row_tri] + (
+        np.arange(row_tri.shape[0], dtype=np.int64)
+        - np.repeat(tri_first_row, rows_per_tri)
+    )
+    lo, hi, edges = _edge_rows(
+        xy, sign, row_tri, row_y, x0[row_tri], x1[row_tri], width
+    )
+    counts = np.maximum(hi - lo + 1, 0)
+    row_cum = np.cumsum(counts)
+    tri_end_row = tri_first_row + rows_per_tri
+    tri_cum = row_cum[tri_end_row - 1]
+    if tri_cum[-1] == 0:
+        return _EMPTY
+
+    abs_area2 = np.abs(area2)
     pieces = []
     start = 0
-    while start < num_tris:
-        base = int(cum[start - 1]) if start else 0
-        stop = int(np.searchsorted(cum, base + _MAX_CANDIDATES, side="right"))
-        stop = min(max(stop, start + 1), num_tris)
-        tri_sel = start + np.flatnonzero(live[start:stop])
-        if tri_sel.shape[0]:
+    num_live = live.shape[0]
+    while start < num_live:
+        base = int(tri_cum[start - 1]) if start else 0
+        stop = int(np.searchsorted(tri_cum, base + _MAX_CANDIDATES, side="right"))
+        stop = min(max(stop, start + 1), num_live)
+        r0, r1 = int(tri_first_row[start]), int(tri_end_row[stop - 1])
+        if row_cum[r1 - 1] > base:
             piece = _raster_chunk(
-                xy, z, tri_sel, counts[tri_sel], x0, y0, bw, area2, sign
+                z, r0, r1, counts[r0:r1], row_tri, row_y, lo, edges, abs_area2
             )
             if piece is not None:
                 pieces.append(piece)

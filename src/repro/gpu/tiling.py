@@ -125,15 +125,12 @@ def fetch_tile_lists(
     Tiles are visited in raster order (tile index order); each record
     read is one tile-cache load.
     """
-    misses = np.zeros(config.tile_count, dtype=np.int64)
-    for tile in range(config.tile_count):
-        sl = binning.pairs_of_tile(tile)
-        addresses = binning.record_addresses[sl]
-        if addresses.size == 0:
-            continue
-        m = tile_cache.access_many(addresses)
-        misses[tile] = m
-        stats.tile_cache_loads += addresses.size
-        stats.tile_cache_load_misses += m
-        stats.prims_rasterized += addresses.size
+    addresses = binning.record_addresses
+    # The records are stored tile by tile, so one pass over the whole
+    # stream is the per-tile visit sequence; the CSR offsets split the
+    # misses back out per tile.
+    misses = tile_cache.access_many(addresses, binning.tile_offsets)
+    stats.tile_cache_loads += addresses.size
+    stats.tile_cache_load_misses += int(misses.sum())
+    stats.prims_rasterized += addresses.size
     return misses

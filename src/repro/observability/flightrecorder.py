@@ -403,13 +403,16 @@ class FlightRecorder:
         the dump limit.  Returns the dump path if one was written.
 
         Dump failures are logged, not raised — a full disk must not
-        take the serving path down with it.
+        take the serving path down with it.  Without a ``dump_dir``
+        there is nowhere to auto-dump to: the dump is counted in
+        ``dumps_suppressed`` and the evidence stays in the rings for an
+        explicit :meth:`dump`.
         """
         with self._lock:
             self.triggers[kind] = self.triggers.get(kind, 0) + 1
             if kind not in self.dump_on:
                 return None
-            if (
+            if self.dump_dir is None or (
                 self.dump_limit is not None
                 and self._dump_index >= self.dump_limit
             ):

@@ -224,6 +224,179 @@ class TestKernelConformance:
 
 
 # ---------------------------------------------------------------------------
+# Rasterizer edge domain: non-finite input, span margins, chunking
+# ---------------------------------------------------------------------------
+
+WIDTH, HEIGHT = 800, 480  # non-square, the paper's screen
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("coord", [0, 1])
+def test_rasterize_rejects_non_finite_vertex(backend, bad, coord):
+    xy, z = random_triangles(4, 6)
+    xy[3, 2, coord] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        backend.rasterize_triangles(xy, z, 64, 64)
+
+
+_X_GRID = st.integers(min_value=-16, max_value=WIDTH + 16)
+_Y_GRID = st.integers(min_value=-16, max_value=HEIGHT + 16)
+
+
+def _coordinate(grid, far):
+    """Integers, pixel centres, arbitrary floats, and far off-screen."""
+    return st.one_of(
+        grid.map(float),
+        grid.map(lambda k: k + 0.5),
+        st.floats(min_value=-16.0, max_value=float(far), allow_nan=False),
+        st.sampled_from([-1e6, 1e6, -7e16, 7e16]),
+    )
+
+
+_X = _coordinate(_X_GRID, WIDTH + 16)
+_Y = _coordinate(_Y_GRID, HEIGHT + 16)
+_TINY = st.sampled_from([1e-9, -1e-9, 3e-10, -2.5e-9, 1e-12, 0.0])
+_SHORT = st.floats(min_value=-40.0, max_value=40.0, allow_nan=False)
+
+
+@st.composite
+def adversarial_triangle(draw):
+    """One triangle built to sit on a span margin."""
+    kind = draw(st.sampled_from([
+        "free", "near-horizontal", "near-vertical", "sliver", "sub-pixel",
+        "through-centres",
+    ]))
+    a = np.array([draw(_X), draw(_Y)])
+    c = np.array([draw(_X), draw(_Y)])
+    if kind == "through-centres":
+        # Edge a-b runs through pixel centres in exact arithmetic, with
+        # a slope that rounds: the span end lands on a centre.
+        a = np.array([draw(_X_GRID), draw(_Y_GRID)]) + 0.5
+        step = st.builds(
+            lambda k, unit: k * unit,
+            st.integers(min_value=-30, max_value=30),
+            st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0 / 3.0]),
+        )
+        b = a + [draw(step), draw(step)]
+    elif kind == "free":
+        b = np.array([draw(_X), draw(_Y)])
+    elif kind == "near-horizontal":
+        b = a + [draw(_SHORT) * draw(st.sampled_from([1.0, 1e3, 1e5])), draw(_TINY)]
+    elif kind == "near-vertical":
+        b = a + [draw(_TINY), draw(_SHORT) * draw(st.sampled_from([1.0, 1e3]))]
+    elif kind == "sliver":
+        # c almost on the line through a and b.
+        b = np.array([draw(_X), draw(_Y)])
+        t = draw(st.floats(min_value=-0.5, max_value=1.5))
+        normal = np.array([a[1] - b[1], b[0] - a[0]])
+        c = a + t * (b - a) + draw(_TINY) * normal
+    else:  # sub-pixel: all three vertices inside one 1x1 square
+        base = np.array([draw(_X_GRID), draw(_Y_GRID)], dtype=np.float64)
+        unit = st.floats(min_value=0.0, max_value=1.0)
+        a, b, c = (base + [draw(unit), draw(unit)] for _ in range(3))
+    return np.array([a, b, c], dtype=np.float64)
+
+
+def _batch(triangles, data):
+    xy = np.array(triangles, dtype=np.float64).reshape(-1, 3, 2)
+    z = np.array(
+        data.draw(st.lists(
+            st.floats(min_value=0.0, max_value=1.0),
+            min_size=3 * len(triangles), max_size=3 * len(triangles),
+        )),
+        dtype=np.float64,
+    ).reshape(-1, 3)
+    return xy, z
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
+@settings(max_examples=80, deadline=None)
+@given(
+    triangles=st.lists(adversarial_triangle(), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_rasterize_conforms_on_adversarial_triangles(backend, triangles, data):
+    xy, z = _batch(triangles, data)
+    assert_fragments_equal(
+        backend.rasterize_triangles(xy, z, WIDTH, HEIGHT),
+        REFERENCE.rasterize_triangles(xy, z, WIDTH, HEIGHT),
+    )
+
+
+# Edges through pixel centres whose x-span end rounds onto the centre:
+# each of these loses or gains a boundary fragment when a span is not
+# widened by its one-pixel margin.
+ON_CENTRE_TRIANGLES = [
+    [[2.5, 16.5], [6.300000000000001, 15.7], [-12.9858217311719, 30.424805002193054]],
+    [[3.5, 38.5], [12.5, 38.1], [-4.358007180413583, 59.334791461655186]],
+    [[8.5, 11.5], [14.833333333333332, 10.9], [-19.267878675711998, 37.892542398258314]],
+    [[0.5, 13.5], [5.833333333333333, 3.833333333333334], [6.258311844657506, 39.72360706980763]],
+    [[20.5, 20.5], [17.1, 23.2], [48.575711830228805, 14.621410290756732]],
+    [[16.5, 11.5], [18.3, 13.7], [40.76414633223454, 5.095338270658125]],
+    [[0.5, 18.5], [10.299999999999999, 22.0], [-12.508257914819414, 6.023622471723176]],
+    [[9.5, 29.5], [9.7, 33.1], [39.312717654103345, 4.456650156893154]],
+    [[27.5, 2.5], [32.5, -2.3999999999999995], [46.21205920240208, 31.408785955584825]],
+    [[16.5, 1.5], [17.3, -0.7000000000000002], [36.44389409243598, 29.523017317762978]],
+]
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
+@pytest.mark.parametrize("index", range(len(ON_CENTRE_TRIANGLES)))
+def test_rasterize_conforms_on_rounded_edge_through_centres(backend, index):
+    xy = np.array([ON_CENTRE_TRIANGLES[index]])
+    z = np.array([[0.1, 0.5, 0.9]])
+    assert_fragments_equal(
+        backend.rasterize_triangles(xy, z, 64, 64),
+        REFERENCE.rasterize_triangles(xy, z, 64, 64),
+    )
+
+
+# A vertex this far out makes x-span ends round by more than a pixel:
+# these triangles keep whole bounding-box rows as candidates.
+HUGE_TRIANGLES = [
+    [[36.56931842916956, 0.4101684905158507], [7949350141604789.0, 6598408181413324.0], [24.069627058280957, 7.311233847190621]],
+    [[43.118940014545515, 20.353112822131074], [-7.301776644336619e16, 7.537349302722637e16], [54.70556931294033, 4.062931843066302]],
+    [[62.434110619316506, 6.878542616713425], [-6.161557376427649e16, -8.743778625019675e16], [-6.1586832811860424e16, -8.739263471318638e16]],
+    [[37.4706934886798, 46.90470891895777], [6.43384432724268e16, 6.145758349983537e16], [6.437750369364516e16, 6.149672577039786e16]],
+]
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
+def test_rasterize_conforms_on_huge_coordinates(backend):
+    xy = np.array(HUGE_TRIANGLES)
+    z = np.linspace(0.0, 1.0, xy.shape[0] * 3).reshape(-1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = REFERENCE.rasterize_triangles(xy, z, 64, 64)
+        got = backend.rasterize_triangles(xy, z, 64, 64)
+    assert want[0].shape[0] > 0
+    assert_fragments_equal(got, want)
+
+
+def test_rasterize_emission_order_across_chunk_boundaries(monkeypatch):
+    """With a tiny chunk bound every chunk boundary falls inside the
+    batch (and a triangle larger than the bound is one chunk on its
+    own): the concatenated output is still the reference stream."""
+    from repro.gpu.kernels import vectorized
+
+    xy, z = random_triangles(5, 40)
+    xy[7] = [[-5.0, -5.0], [70.0, 3.0], [10.0, 60.0]]  # > bound by itself
+    want = REFERENCE.rasterize_triangles(xy, z, 64, 48)
+    calls = []
+    chunk = vectorized._raster_chunk
+
+    def counted(*args):
+        calls.append(args)
+        return chunk(*args)
+
+    monkeypatch.setattr(vectorized, "_MAX_CANDIDATES", 37)
+    monkeypatch.setattr(vectorized, "_raster_chunk", counted)
+    got = vectorized.rasterize_triangles(xy, z, 64, 48)
+    assert len(calls) > 10
+    assert_fragments_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
 # Hypothesis streams
 # ---------------------------------------------------------------------------
 

@@ -141,3 +141,24 @@ def test_ring_contents_deterministic_across_repeat_runs(tmp_path):
         })
     assert rings[0] == rings[1]
     assert WALL_FIELDS  # the exclusions above are the entire allowance
+
+
+def test_recorder_without_dump_dir_never_aborts_detection():
+    """``RBCDSystem(recorder=FlightRecorder(), monitor=LiveMonitor())``
+    on alerting crazy frames at 320x192: with no ``dump_dir`` the alert's
+    auto-dump is counted as suppressed and every frame still returns the
+    recorder-off result."""
+    config = GPUConfig().with_screen(320, 192)
+    frames = benchmark_frames(config, "crazy")
+    plain = run_stream(config, frames)
+    recorder = FlightRecorder()
+    try:
+        recorded = run_stream(
+            config, frames, recorder=recorder, monitor=LiveMonitor()
+        )
+    finally:
+        recorder.close()
+    assert recorded == plain
+    assert recorder.triggers.get("alert", 0) >= 1
+    assert recorder.dumps_written == 0
+    assert recorder.dumps_suppressed == recorder.triggers["alert"]

@@ -239,6 +239,14 @@ class TestTriggersAndDumps:
             rec.dump()
         rec.close()
 
+    def test_trigger_without_destination_is_suppressed(self):
+        rec = FlightRecorder()
+        assert rec.trigger("alert", rule="hot") is None
+        assert rec.triggers == {"alert": 1}
+        assert rec.dumps_written == 0
+        assert rec.dumps_suppressed == 1
+        rec.close()
+
     def test_dump_to_explicit_path(self, recorder, tmp_path):
         target = tmp_path / "custom" / "evidence.json"
         target.parent.mkdir()
